@@ -2,9 +2,9 @@
 //! worker pool, with the determinism guard asserted between the two.
 //!
 //! Prints wall time and nets/s for each configuration plus the measured
-//! speedup. On a multi-core machine the parallel sweep is expected to be
-//! ≥2× faster with 4+ workers; on a single hardware thread the speedup
-//! degenerates to ~1× (reported honestly either way).
+//! speedup. The parallel sweep uses one worker per hardware thread, so
+//! it never oversubscribes the machine; on a single hardware thread the
+//! speedup degenerates to ~1× (reported honestly either way).
 
 use msrnet_batch::{random_jobs, reports_bit_identical, run_batch};
 use msrnet_netgen::table1;
@@ -18,7 +18,7 @@ fn main() {
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let threads = hw.max(4);
+    let threads = hw;
 
     let sequential = run_batch(&jobs, 1);
     let parallel = run_batch(&jobs, threads);

@@ -1,6 +1,7 @@
-//! Micro-benchmarks of the PWL primitives (paper Eq. 3) and the
-//! minimal-functional-subset pruning (paper Fig. 4 vs naive pairwise) —
-//! the inner loops of the repeater-insertion dynamic program.
+//! Micro-benchmarks of the PWL primitives (paper Eq. 3), the pairwise
+//! dominance region, and the minimal-functional-subset pruning (paper
+//! Fig. 4 vs naive pairwise) — the inner loops of the repeater-insertion
+//! dynamic program.
 
 use msrnet_bench::timing::{bench, group};
 use msrnet_pwl::{mfs_divide_conquer, mfs_naive, FuncPoint, Pwl};
@@ -56,6 +57,23 @@ fn bench_primitives() {
     });
 }
 
+/// The MFS inner-loop primitive on two 2-PWL candidates of 16 segments
+/// each: one pair whose region is empty only after the PWL comparison
+/// (the scalars allow dominance), one whose region is the whole domain.
+fn bench_dominance_region() {
+    let mut seed = 777u64;
+    let f = random_pwl(&mut seed, 16);
+    let g = random_pwl(&mut seed, 16);
+    let victim = FuncPoint::new(0, vec![2.0, 2.0, 0.0], vec![f.clone(), g.clone()]);
+    let slower = FuncPoint::new(1, vec![1.0, 1.0, 0.0], vec![f.add_scalar(1.0), g.clone()]);
+    let faster = FuncPoint::new(2, vec![1.0, 1.0, 0.0], vec![f.add_scalar(-1.0), g]);
+    assert!(slower.dominance_region(&victim).is_empty());
+    assert!(!faster.dominance_region(&victim).is_empty());
+    group("dominance_region");
+    bench("empty_16seg", || slower.dominance_region(&victim));
+    bench("non_empty_16seg", || faster.dominance_region(&victim));
+}
+
 fn bench_mfs() {
     group("mfs_pruning");
     for n in [64usize, 256] {
@@ -69,5 +87,6 @@ fn bench_mfs() {
 
 fn main() {
     bench_primitives();
+    bench_dominance_region();
     bench_mfs();
 }

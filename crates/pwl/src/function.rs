@@ -278,6 +278,13 @@ impl Pwl {
     /// of two solution characteristics.
     pub fn le_regions(&self, other: &Pwl) -> IntervalSet {
         let mut spans = Vec::new();
+        self.le_spans(other, &mut spans);
+        IntervalSet::from_spans(spans)
+    }
+
+    /// The raw, not yet normalized spans behind [`Pwl::le_regions`],
+    /// appended to `spans` — one per common cell at most, in domain order.
+    pub(crate) fn le_spans(&self, other: &Pwl, spans: &mut Vec<(f64, f64)>) {
         for (lo, hi, a, b) in zip_cells(self, other) {
             let ya0 = a.value_at(lo);
             let yb0 = b.value_at(lo);
@@ -310,7 +317,6 @@ impl Pwl {
                 }
             }
         }
-        IntervalSet::from_spans(spans)
     }
 
     /// Smallest value attained over the whole domain, or `None` if empty.
@@ -329,6 +335,33 @@ impl Pwl {
             .iter()
             .map(|s| s.y0.max(s.value_at_end()))
             .max_by(f64::total_cmp)
+    }
+
+    /// The value range over the whole domain, widened at both ends by a
+    /// margin: `(min − m, max + m)`, or `(+∞, −∞)` for an empty function.
+    ///
+    /// `m` is [`EPS`] plus [`RANGE_REL_MARGIN`] times the largest
+    /// `|y| + |slope|·|x|` of any segment. Whenever
+    /// [`Pwl::le_regions`]`(self, other)` would report a point, the
+    /// widened ranges meet: the [`EPS`] term covers the tolerance on
+    /// near-parallel pieces, the relative term covers the rounding of
+    /// interpolated values and of the computed crossing point, which
+    /// may stray a few ulps of `|x|` times the slope difference.
+    pub(crate) fn widened_range(&self) -> (f64, f64) {
+        let (mut lo, mut hi, mut scale) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
+        for s in &self.segs {
+            let y1 = s.value_at_end();
+            lo = lo.min(s.y0.min(y1));
+            hi = hi.max(s.y0.max(y1));
+            let y = if s.y0 == f64::NEG_INFINITY {
+                0.0
+            } else {
+                s.y0.abs().max(y1.abs())
+            };
+            scale = scale.max(y + s.slope.abs() * s.x0.abs().max(s.x1.abs()));
+        }
+        let m = EPS + RANGE_REL_MARGIN * scale;
+        (lo - m, hi + m)
     }
 
     /// Samples the function at `n ≥ 2` evenly spaced points across its
@@ -385,6 +418,10 @@ impl Pwl {
         Pwl { segs }
     }
 }
+
+/// Relative part of the [`Pwl::widened_range`] margin: about 4.5·10⁵
+/// ulps, far above the few ulps of rounding it has to absorb.
+pub(crate) const RANGE_REL_MARGIN: f64 = 1e-10;
 
 /// Allocation-free coalesce: merges adjacent collinear segments (within
 /// [`EPS`]) by two-pointer compaction.

@@ -55,16 +55,15 @@ impl IntervalSet {
     /// Spans with `lo > hi` are dropped; overlapping or near-touching
     /// (within [`EPS`]) spans are merged.
     pub fn from_spans<I: IntoIterator<Item = (f64, f64)>>(spans: I) -> Self {
-        let mut v: Vec<(f64, f64)> = spans.into_iter().filter(|&(lo, hi)| lo <= hi).collect();
-        v.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut out: Vec<(f64, f64)> = Vec::with_capacity(v.len());
-        for (lo, hi) in v {
-            match out.last_mut() {
-                Some(last) if lo <= last.1 + EPS => last.1 = last.1.max(hi),
-                _ => out.push((lo, hi)),
-            }
-        }
-        IntervalSet { spans: out }
+        let mut v: Vec<(f64, f64)> = spans.into_iter().collect();
+        normalize_spans(&mut v);
+        IntervalSet { spans: v }
+    }
+
+    /// Wraps spans already in set form, as [`normalize_spans`] and
+    /// [`intersect_spans`] leave them.
+    pub(crate) fn from_normalized(spans: Vec<(f64, f64)>) -> Self {
+        IntervalSet { spans }
     }
 
     /// Whether the set is empty.
@@ -105,21 +104,7 @@ impl IntervalSet {
     /// Set intersection.
     pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
         let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.spans.len() && j < other.spans.len() {
-            let (alo, ahi) = self.spans[i];
-            let (blo, bhi) = other.spans[j];
-            let lo = alo.max(blo);
-            let hi = ahi.min(bhi);
-            if lo <= hi {
-                out.push((lo, hi));
-            }
-            if ahi < bhi {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
+        intersect_spans(&self.spans, &other.spans, &mut out);
         IntervalSet { spans: out }
     }
 
@@ -128,16 +113,20 @@ impl IntervalSet {
     /// Removals thinner than [`EPS`] may leave degenerate slivers; slivers
     /// shorter than `EPS` are discarded so that pruning makes progress.
     pub fn subtract(&self, other: &IntervalSet) -> IntervalSet {
+        self.subtract_spans(&other.spans)
+    }
+
+    /// [`IntervalSet::subtract`] against raw normalized spans.
+    pub(crate) fn subtract_spans(&self, other: &[(f64, f64)]) -> IntervalSet {
         let mut out: Vec<(f64, f64)> = Vec::new();
         let mut j = 0;
         for &(lo, hi) in &self.spans {
             let mut cur = lo;
-            while j < other.spans.len() && other.spans[j].1 < cur {
+            while other.get(j).is_some_and(|s| s.1 < cur) {
                 j += 1;
             }
             let mut k = j;
-            while k < other.spans.len() && other.spans[k].0 <= hi {
-                let (blo, bhi) = other.spans[k];
+            while let Some(&(blo, bhi)) = other.get(k).filter(|s| s.0 <= hi) {
                 if blo > cur {
                     out.push((cur, blo.min(hi)));
                 }
@@ -165,6 +154,50 @@ impl IntervalSet {
     /// Clamps the set to `[lo, hi]`.
     pub fn clamp(&self, lo: f64, hi: f64) -> IntervalSet {
         self.intersect(&IntervalSet::from_interval(lo, hi))
+    }
+}
+
+/// Normalizes raw spans in place, exactly as [`IntervalSet::from_spans`]
+/// does: drops inverted spans, sorts by lower endpoint and merges spans
+/// that overlap or touch within [`EPS`]. Allocation-free unless the input
+/// is out of order and long enough for the sort to need a buffer.
+pub(crate) fn normalize_spans(v: &mut Vec<(f64, f64)>) {
+    v.retain(|&(lo, hi)| lo <= hi);
+    if !v.is_sorted_by(|a, b| a.0.total_cmp(&b.0).is_le()) {
+        v.sort_by(|a, b| a.0.total_cmp(&b.0));
+    }
+    let mut len = 0usize;
+    for r in 0..v.len() {
+        let Some(&(lo, hi)) = v.get(r) else { break };
+        match len.checked_sub(1).and_then(|w| v.get_mut(w)) {
+            Some(last) if lo <= last.1 + EPS => last.1 = last.1.max(hi),
+            _ => {
+                if let Some(slot) = v.get_mut(len) {
+                    *slot = (lo, hi);
+                }
+                len += 1;
+            }
+        }
+    }
+    v.truncate(len);
+}
+
+/// Writes the intersection of two span lists in set form into `out`
+/// (cleared first), exactly as [`IntervalSet::intersect`] computes it.
+pub(crate) fn intersect_spans(a: &[(f64, f64)], b: &[(f64, f64)], out: &mut Vec<(f64, f64)>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&(alo, ahi)), Some(&(blo, bhi))) = (a.get(i), b.get(j)) {
+        let lo = alo.max(blo);
+        let hi = ahi.min(bhi);
+        if lo <= hi {
+            out.push((lo, hi));
+        }
+        if ahi < bhi {
+            i += 1;
+        } else {
+            j += 1;
+        }
     }
 }
 

@@ -5,8 +5,10 @@
 //! predicates before any PWL comparison, in the spirit of Li & Shi's
 //! sorted-candidate buffer-insertion pruning.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 
+use crate::interval::{intersect_spans, normalize_spans};
 use crate::{IntervalSet, Pwl};
 
 /// A candidate in a functional-dominance problem: a payload plus the
@@ -79,10 +81,14 @@ impl<T> FuncPoint<T> {
 
     /// Removes `region` from the validity domain, restricting all PWLs.
     pub fn invalidate(&mut self, region: &IntervalSet) {
+        self.invalidate_spans(region.spans());
+    }
+
+    fn invalidate_spans(&mut self, region: &[(f64, f64)]) {
         if region.is_empty() {
             return;
         }
-        self.domain = self.domain.subtract(region);
+        self.domain = self.domain.subtract_spans(region);
         self.sync_pwls();
     }
 
@@ -108,36 +114,211 @@ impl<T> FuncPoint<T> {
     ///
     /// Exposed so that callers can build custom pruning strategies (e.g.
     /// the whole-domain-only ablation in `msrnet-core`).
+    ///
+    /// The work runs in reusable per-thread span buffers (scalar rejects
+    /// return before touching them); only a non-empty result allocates.
     pub fn dominance_region(&self, other: &Self) -> IntervalSet {
         if !self.scalars_le(other) {
             return IntervalSet::empty();
         }
+        thread_local! {
+            static BUF: RefCell<RegionBuf> = RefCell::default();
+        }
+        BUF.with(|buf| {
+            let buf = &mut *buf.borrow_mut();
+            if self.region_into(other, buf) {
+                IntervalSet::from_normalized(buf.region.clone())
+            } else {
+                IntervalSet::empty()
+            }
+        })
+    }
+
+    /// [`FuncPoint::dominance_region`] into `buf.region`; returns whether
+    /// the region is non-empty. Same arithmetic in the same order as
+    /// intersecting the domains and then each [`Pwl::le_regions`].
+    fn region_into(&self, other: &Self, buf: &mut RegionBuf) -> bool {
+        if !self.scalars_le(other) {
+            buf.region.clear();
+            return false;
+        }
         debug_assert_eq!(self.pwls.len(), other.pwls.len());
-        let mut region = self.domain.intersect(&other.domain);
+        intersect_spans(self.domain.spans(), other.domain.spans(), &mut buf.region);
         for (a, b) in self.pwls.iter().zip(&other.pwls) {
-            if region.is_empty() {
+            if buf.region.is_empty() {
                 break;
             }
-            region = region.intersect(&a.le_regions(b));
+            buf.spans.clear();
+            a.le_spans(b, &mut buf.spans);
+            normalize_spans(&mut buf.spans);
+            intersect_spans(&buf.region, &buf.spans, &mut buf.tmp);
+            std::mem::swap(&mut buf.region, &mut buf.tmp);
         }
-        region
+        !buf.region.is_empty()
+    }
+
+    /// The packed-key test of the MFS prune loops: `false` guarantees
+    /// that `self.dominance_region(other)` is empty, so the prune loops
+    /// skip that computation. `true` decides nothing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use msrnet_pwl::{FuncPoint, Pwl};
+    ///
+    /// let cheap_slow = FuncPoint::new("a", vec![1.0], vec![Pwl::constant(9.0, 0.0, 1.0)]);
+    /// let costly_fast = FuncPoint::new("b", vec![2.0], vec![Pwl::constant(5.0, 0.0, 1.0)]);
+    /// assert!(!cheap_slow.could_dominate(&costly_fast)); // faster everywhere
+    /// assert!(!costly_fast.could_dominate(&cheap_slow)); // costs more
+    /// ```
+    pub fn could_dominate(&self, other: &Self) -> bool {
+        let layout = KeyLayout::of(self);
+        let mut keys = vec![0.0; 2 * layout.stride];
+        let (ka, kb) = keys.split_at_mut(layout.stride);
+        fill_key(self, ka);
+        fill_key(other, kb);
+        layout.directions(ka, kb).0
+    }
+}
+
+/// Reusable span buffers for allocation-free dominance regions.
+#[derive(Default)]
+struct RegionBuf {
+    /// The running region; holds the result after `region_into`.
+    region: Vec<(f64, f64)>,
+    /// Raw, then normalized, `le_regions` spans of one PWL dimension.
+    spans: Vec<(f64, f64)>,
+    /// Intersection output, swapped with `region`.
+    tmp: Vec<(f64, f64)>,
+}
+
+/// The buffers one MFS run reuses across all its prunes: the packed
+/// dominance keys of the current prune and the region span buffers.
+#[derive(Default)]
+struct PruneBufs {
+    keys: Vec<f64>,
+    buf: RegionBuf,
+}
+
+/// Layout of a packed dominance key, generic in the number of scalar and
+/// PWL dimensions: the scalars, then the validity domain's min and max,
+/// then each PWL's [`Pwl::widened_range`] over the current domain.
+///
+/// Each term is a necessary condition for a non-empty
+/// [`FuncPoint::dominance_region`]: the scalars must compare `≤` exactly
+/// as `scalars_le` does, the domain hulls must overlap (span intersection
+/// compares endpoints exactly), and in every PWL dimension the dominator's
+/// widened minimum must not exceed the victim's widened maximum.
+#[derive(Clone, Copy)]
+struct KeyLayout {
+    scalars: usize,
+    stride: usize,
+}
+
+impl KeyLayout {
+    fn of<T>(fp: &FuncPoint<T>) -> Self {
+        let scalars = fp.scalars.len();
+        KeyLayout {
+            scalars,
+            stride: scalars + 2 + 2 * fp.pwls.len(),
+        }
+    }
+
+    /// Whether `a` may dominate `b`, and whether `b` may dominate `a`,
+    /// somewhere. A NaN scalar fails `≤` exactly as in `scalars_le`; a NaN
+    /// bound never causes a skip.
+    fn directions(self, ka: &[f64], kb: &[f64]) -> (bool, bool) {
+        let (sa, ra) = ka.split_at(self.scalars);
+        let (sb, rb) = kb.split_at(self.scalars);
+        let (mut a_le, mut b_le) = (true, true);
+        for (x, y) in sa.iter().zip(sb) {
+            a_le &= x <= y;
+            b_le &= y <= x;
+        }
+        if !(a_le || b_le) {
+            return (false, false);
+        }
+        let (da, pa) = ra.split_at(2);
+        let (db, pb) = rb.split_at(2);
+        if let ([alo, ahi], [blo, bhi]) = (da, db) {
+            if alo > bhi || blo > ahi {
+                return (false, false);
+            }
+        }
+        (a_le && ranges_meet(pa, pb), b_le && ranges_meet(pb, pa))
+    }
+}
+
+/// Whether, in every PWL dimension, the widened minimum of the would-be
+/// dominator does not exceed the widened maximum of the victim. Only a
+/// provable `>` rules a dimension out, so a NaN bound never does.
+fn ranges_meet(dominator: &[f64], victim: &[f64]) -> bool {
+    !dominator
+        .chunks_exact(2)
+        .zip(victim.chunks_exact(2))
+        .any(|pair| matches!(pair, ([lo, _], [_, hi]) if lo > hi))
+}
+
+/// Writes the packed key of `fp` (see [`KeyLayout`]) into `key`.
+fn fill_key<T>(fp: &FuncPoint<T>, key: &mut [f64]) {
+    let dom = [
+        fp.domain.min().unwrap_or(f64::INFINITY),
+        fp.domain.max().unwrap_or(f64::NEG_INFINITY),
+    ];
+    let ranges = fp.pwls.iter().flat_map(|p| {
+        let (lo, hi) = p.widened_range();
+        [lo, hi]
+    });
+    let values = fp.scalars.iter().copied().chain(dom).chain(ranges);
+    for (slot, v) in key.iter_mut().zip(values) {
+        *slot = v;
+    }
+}
+
+/// Appends the packed keys of `items` to `keys`, one `layout.stride`
+/// chunk each.
+fn append_keys<T>(items: &[FuncPoint<T>], layout: KeyLayout, keys: &mut Vec<f64>) {
+    let start = keys.len();
+    keys.resize(start + items.len() * layout.stride, 0.0);
+    let (_, fresh) = keys.split_at_mut(start);
+    for (fp, key) in items.iter().zip(fresh.chunks_exact_mut(layout.stride)) {
+        debug_assert_eq!(KeyLayout::of(fp).stride, layout.stride);
+        fill_key(fp, key);
     }
 }
 
 /// Prunes the ordered pair: first `a` prunes `b` (non-strict dominance),
 /// then `b` prunes `a` against `b`'s *updated* domain. The two-step order
 /// guarantees that ties never annihilate both candidates.
-fn prune_pair<T>(a: &mut FuncPoint<T>, b: &mut FuncPoint<T>) {
-    if !a.is_valid() || !b.is_valid() {
+///
+/// A direction whose keys rule dominance out is skipped: its region would
+/// be empty and invalidating by it would change nothing. The `b`-over-`a`
+/// test reads `b`'s key from before `a` pruned `b`, which is still a
+/// valid bound because a domain only ever shrinks. Whoever loses a region
+/// gets a fresh key.
+fn prune_pair<T>(
+    a: &mut FuncPoint<T>,
+    ka: &mut [f64],
+    b: &mut FuncPoint<T>,
+    kb: &mut [f64],
+    layout: KeyLayout,
+    buf: &mut RegionBuf,
+) {
+    let (a_over_b, b_over_a) = layout.directions(ka, kb);
+    if !(a_over_b || b_over_a) || !a.is_valid() || !b.is_valid() {
         return;
     }
-    let r = a.dominance_region(b);
-    b.invalidate(&r);
-    if !b.is_valid() {
-        return;
+    if a_over_b && a.region_into(b, buf) {
+        b.invalidate_spans(&buf.region);
+        fill_key(b, kb);
+        if !b.is_valid() {
+            return;
+        }
     }
-    let r = b.dominance_region(a);
-    a.invalidate(&r);
+    if b_over_a && b.region_into(a, buf) {
+        a.invalidate_spans(&buf.region);
+        fill_key(a, ka);
+    }
 }
 
 /// Computes the minimal functional subset by pairwise pruning
@@ -148,17 +329,32 @@ fn prune_pair<T>(a: &mut FuncPoint<T>, b: &mut FuncPoint<T>) {
 /// domains and every removed candidate, some surviving candidate defined
 /// at `x` is at least as good in every dimension.
 pub fn mfs_naive<T>(mut items: Vec<FuncPoint<T>>) -> Vec<FuncPoint<T>> {
-    pairwise(&mut items);
+    pairwise(&mut items, &mut PruneBufs::default());
     items.retain(FuncPoint::is_valid);
     items
 }
 
-fn pairwise<T>(items: &mut [FuncPoint<T>]) {
+/// Prunes every pair `(a, b)` with `a` before `b`, in order.
+fn pairwise<T>(items: &mut [FuncPoint<T>], bufs: &mut PruneBufs) {
+    let Some(layout) = items.first().map(KeyLayout::of) else {
+        return;
+    };
+    let PruneBufs { keys, buf } = bufs;
+    keys.clear();
+    append_keys(items, layout, keys);
     for j in 1..items.len() {
         let (left, right) = items.split_at_mut(j);
-        let b = &mut right[0];
-        for a in left.iter_mut() {
-            prune_pair(a, b);
+        let (left_keys, right_keys) = keys.split_at_mut(j * layout.stride);
+        let (Some(b), Some(kb)) = (right.first_mut(), right_keys.get_mut(..layout.stride)) else {
+            break;
+        };
+        for (a, ka) in left.iter_mut().zip(left_keys.chunks_exact_mut(layout.stride)) {
+            // Most earlier items are dead in a large set; one length
+            // check dismisses them faster than the key test.
+            if !a.is_valid() {
+                continue;
+            }
+            prune_pair(a, ka, b, kb, layout, buf);
             if !b.is_valid() {
                 break;
             }
@@ -197,6 +393,8 @@ struct Summary {
     lo: Vec<f64>,
     /// Per-PWL-dimension maximum value over the current domain.
     hi: Vec<f64>,
+    /// The packed dominance key (see [`KeyLayout`]).
+    key: Vec<f64>,
 }
 
 fn summarize<T>(fp: &FuncPoint<T>) -> Summary {
@@ -215,6 +413,11 @@ fn summarize<T>(fp: &FuncPoint<T>) -> Summary {
             .iter()
             .map(|p| p.max_value().unwrap_or(f64::NEG_INFINITY))
             .collect(),
+        key: {
+            let mut key = vec![0.0; KeyLayout::of(fp).stride];
+            fill_key(fp, &mut key);
+            key
+        },
     }
 }
 
@@ -276,13 +479,10 @@ fn summary_kills<T>(
 }
 
 /// Necessary condition for `a.dominance_region(b)` to be non-empty,
-/// checked from summaries in O(dims) — skips the expensive `le_regions`
-/// intersection for hopeless pairs.
-fn may_dominate<T>(a: &FuncPoint<T>, sa: &Summary, b: &FuncPoint<T>, sb: &Summary) -> bool {
-    a.scalars_le(b)
-        && sa.dom_lo <= sb.dom_hi
-        && sb.dom_lo <= sa.dom_hi
-        && sa.lo.iter().zip(&sb.hi).all(|(al, bh)| *al <= *bh)
+/// checked on the packed keys in O(dims) — skips the expensive
+/// `le_regions` intersection for hopeless pairs.
+fn may_dominate(layout: KeyLayout, sa: &Summary, sb: &Summary) -> bool {
+    layout.directions(&sa.key, &sb.key).0
 }
 
 /// Cost-bucketed sorted-sweep MFS: sorts candidates lexicographically by
@@ -387,7 +587,11 @@ pub fn mfs_sorted_sweep_with<T>(
             .find(|o| *o != Ordering::Equal)
             .unwrap_or(Ordering::Equal)
     });
+    let Some(layout) = items.first().map(KeyLayout::of) else {
+        return (items, counts);
+    };
     let mut summaries: Vec<Summary> = items.iter().map(summarize).collect();
+    let mut buf = RegionBuf::default();
     for j in 1..items.len() {
         if !items.get(j).is_some_and(|it| it.is_valid()) {
             continue;
@@ -416,30 +620,25 @@ pub fn mfs_sorted_sweep_with<T>(
             // prefilter. Forward direction first (a's cost ≤ b's cost by
             // the sort), then — as in `prune_pair` — the reverse against
             // b's *updated* domain, possible only on an exact cost tie.
-            if may_dominate(a, &summaries[i], b, &summaries[j]) {
-                let r = a.dominance_region(b);
-                if !r.is_empty() {
-                    on_kill(&mut a.payload, &b.payload, false);
-                    b.invalidate(&r);
-                    if !b.is_valid() {
-                        counts.pwl_killed += 1;
-                        break;
-                    }
-                    summaries[j] = summarize(b);
+            if may_dominate(layout, &summaries[i], &summaries[j]) && a.region_into(b, &mut buf) {
+                on_kill(&mut a.payload, &b.payload, false);
+                b.invalidate_spans(&buf.region);
+                if !b.is_valid() {
+                    counts.pwl_killed += 1;
+                    break;
                 }
+                summaries[j] = summarize(b);
             }
             if a.scalars.first() == b.scalars.first()
-                && may_dominate(b, &summaries[j], a, &summaries[i])
+                && may_dominate(layout, &summaries[j], &summaries[i])
+                && b.region_into(a, &mut buf)
             {
-                let r = b.dominance_region(a);
-                if !r.is_empty() {
-                    on_kill(&mut b.payload, &a.payload, false);
-                    a.invalidate(&r);
-                    if !a.is_valid() {
-                        counts.pwl_killed += 1;
-                    } else {
-                        summaries[i] = summarize(a);
-                    }
+                on_kill(&mut b.payload, &a.payload, false);
+                a.invalidate_spans(&buf.region);
+                if !a.is_valid() {
+                    counts.pwl_killed += 1;
+                } else {
+                    summaries[i] = summarize(a);
                 }
             }
         }
@@ -454,7 +653,12 @@ pub fn mfs_sorted_sweep_with<T>(
 ///
 /// Worst-case pair comparisons remain `O(n²)`, but when many candidates
 /// die deep in the recursion (typical after a `JoinSets` product, per the
-/// paper) far fewer cross-comparisons are performed.
+/// paper) far fewer cross-comparisons are performed. Each leaf and each
+/// cross-prune packs one flat key per candidate (scalars, domain hull,
+/// widened PWL value ranges), so most of those `O(n²)` pair visits are a
+/// few contiguous float compares: a direction of a pair goes on to the
+/// exact region computation only if the keys say it may dominate, and
+/// skipping the rest is exact (see [`FuncPoint::could_dominate`]).
 ///
 /// `leaf_threshold` is the subproblem size below which the naive pairwise
 /// method is used; values around 8 work well.
@@ -462,27 +666,52 @@ pub fn mfs_divide_conquer<T>(
     items: Vec<FuncPoint<T>>,
     leaf_threshold: usize,
 ) -> Vec<FuncPoint<T>> {
-    let threshold = leaf_threshold.max(2);
+    divide_conquer(items, leaf_threshold.max(2), &mut PruneBufs::default())
+}
+
+fn divide_conquer<T>(
+    mut items: Vec<FuncPoint<T>>,
+    threshold: usize,
+    bufs: &mut PruneBufs,
+) -> Vec<FuncPoint<T>> {
     if items.len() <= threshold {
-        return mfs_naive(items);
+        pairwise(&mut items, bufs);
+        items.retain(FuncPoint::is_valid);
+        return items;
     }
-    let mid = items.len() / 2;
-    let mut items = items;
-    let right_half = items.split_off(mid);
-    let mut left = mfs_divide_conquer(items, threshold);
-    let mut right = mfs_divide_conquer(right_half, threshold);
-    for a in &mut left {
-        for b in &mut right {
-            prune_pair(a, b);
+    let right_half = items.split_off(items.len() / 2);
+    let mut left = divide_conquer(items, threshold, bufs);
+    let mut right = divide_conquer(right_half, threshold, bufs);
+    cross_prune(&mut left, &mut right, bufs);
+    left.retain(FuncPoint::is_valid);
+    right.retain(FuncPoint::is_valid);
+    left.append(&mut right);
+    left
+}
+
+/// Prunes every `(a, b)` with `a` from `left` and `b` from `right`,
+/// row by row, moving to the next `a` once `a` is dead.
+fn cross_prune<T>(
+    left: &mut [FuncPoint<T>],
+    right: &mut [FuncPoint<T>],
+    bufs: &mut PruneBufs,
+) {
+    let Some(layout) = left.first().map(KeyLayout::of) else {
+        return;
+    };
+    let PruneBufs { keys, buf } = bufs;
+    keys.clear();
+    append_keys(left, layout, keys);
+    append_keys(right, layout, keys);
+    let (left_keys, right_keys) = keys.split_at_mut(left.len() * layout.stride);
+    for (a, ka) in left.iter_mut().zip(left_keys.chunks_exact_mut(layout.stride)) {
+        for (b, kb) in right.iter_mut().zip(right_keys.chunks_exact_mut(layout.stride)) {
+            prune_pair(a, ka, b, kb, layout, buf);
             if !a.is_valid() {
                 break;
             }
         }
     }
-    left.retain(FuncPoint::is_valid);
-    right.retain(FuncPoint::is_valid);
-    left.append(&mut right);
-    left
 }
 
 #[cfg(test)]
@@ -671,6 +900,23 @@ mod tests {
         let mut names: Vec<_> = kept.iter().map(|p| p.payload).collect();
         names.sort_unstable();
         assert_eq!(names, vec!["lvl1", "lvl2"]);
+    }
+
+    #[test]
+    fn bucketed_sweep_prefilter_honors_the_le_regions_tolerance() {
+        // `le_regions` treats values within EPS as ties, so the cheaper
+        // candidate removes the other everywhere although its constant
+        // is EPS/2 higher; the sweep's prefilter must not skip the pair.
+        let items = || {
+            vec![
+                fp("near", &[1.0], vec![Pwl::constant(1.0 + 0.5 * crate::EPS, 0.0, 10.0)]),
+                fp("victim", &[2.0], vec![Pwl::constant(1.0, 0.0, 10.0)]),
+            ]
+        };
+        assert_eq!(mfs_naive(items()).len(), 1);
+        let kept = mfs_bucketed(items());
+        let names: Vec<_> = kept.iter().map(|p| p.payload).collect();
+        assert_eq!(names, vec!["near"]);
     }
 
     #[test]
