@@ -1,19 +1,14 @@
 //! Ablation of the pruning machinery (paper §IV-D and §V):
 //!
 //! * divide-and-conquer MFS (paper Fig. 4, the default),
-//! * naive pairwise MFS (same result, more comparisons),
-//! * cost-bucketed sorted-sweep MFS (same result, scalar prefilters),
-//! * whole-domain-only dominance (no partial-region invalidation —
-//!   quantifies the value of *functional* pruning),
-//! * approximate sweep at eps = 0.01 (relaxed dominance; frontier within
-//!   a (1+eps) factor, not bit-identical).
+//! * naive pairwise MFS (same result, more comparisons).
 //!
-//! All exact strategies return identical frontiers (verified by the test
+//! Both strategies return identical frontiers (verified by the test
 //! suite); this binary compares their cost. The second section repeats
 //! the ablation on the asymmetric multi-cost library — the
 //! Pareto-explosion regime where distinct cost denominations keep joins
-//! from merging cost classes — which is where the join cutoffs and the
-//! bucketed sweep earn their keep. The third section ablates the
+//! from merging cost classes — which is where the join cutoffs earn
+//! their keep. The third section ablates the
 //! *predictive* pre-bounds (Li–Shi bound-before-materialize) against
 //! block pruning alone: same frontier bits, fewer candidates ever built.
 //!
@@ -25,12 +20,9 @@ use msrnet_bench::{ablation_run, multicost_asym_library, Instance, SPACING};
 use msrnet_core::{MsriOptions, MsriStats, PruningStrategy};
 use msrnet_netgen::{table1, TechParams};
 
-const STRATEGIES: [(&str, PruningStrategy); 5] = [
+const STRATEGIES: [(&str, PruningStrategy); 2] = [
     ("divide-conquer", PruningStrategy::DivideConquer),
     ("naive pairwise", PruningStrategy::Naive),
-    ("bucketed sweep", PruningStrategy::Bucketed),
-    ("whole-domain only", PruningStrategy::WholeDomainOnly),
-    ("approx eps=0.01", PruningStrategy::Approximate { eps: 0.01 }),
 ];
 
 /// Sums the per-step scalar/PWL prune counters over all DP subroutines.
@@ -243,10 +235,8 @@ fn main() {
         eprintln!("wrote {path}");
     }
     println!();
-    println!("expected shape: whole-domain-only pruning keeps far more candidates");
-    println!("alive (larger sets, slower); functional region-wise pruning is what");
-    println!("makes the PWL characterization practical (paper §IV-D). In the");
-    println!("multi-cost regime the join cutoffs (counted under scalar-prn) kill");
-    println!("hopeless products before materialization; the bucketed sweep prunes");
-    println!("the same frontier as divide-and-conquer, well ahead of naive pairwise.");
+    println!("expected shape: divide-and-conquer and naive pairwise prune the same");
+    println!("frontier, divide-and-conquer well ahead. In the multi-cost regime the");
+    println!("join cutoffs (counted under scalar-prn) kill hopeless products before");
+    println!("materialization.");
 }

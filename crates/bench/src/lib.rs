@@ -203,7 +203,7 @@ pub fn table4_row(params: &TechParams, n: usize, trials: usize, seed0: u64) -> T
 /// The asymmetric multi-cost repeater library: three denominations whose
 /// pairwise cost sums stay distinct, so joins multiply rather than merge
 /// cost classes. This is the Pareto-explosion regime of the verify grid
-/// and the one the join cutoffs and bucketed MFS sweep target.
+/// and the one the join cutoffs and the MFS prune target.
 pub fn multicost_asym_library(params: &TechParams) -> Vec<Repeater> {
     let b1 = &params.buf_1x;
     let b2 = b1.scaled(2.0);

@@ -149,49 +149,36 @@ fn pruning_flag_is_validated_on_every_entry_point() {
     let trace = dir.join("trace.json");
     std::fs::write(&trace, "{\"edits\": []}").expect("write trace");
 
-    // Valid strategies run on optimize and batch...
-    let out = run_ok(bin().args([
-        "optimize", net.to_str().expect("utf8"),
-        "--pruning", "approx:0.05", "--stats",
-    ]));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"approx\""), "stats JSON reports the approx block");
-    assert!(stdout.contains("\"budget_factor\""), "stats JSON reports the budget");
-    run_ok(bin().args([
-        "batch", "--count", "1", "--terminals", "4", "--seed", "3",
-        "--pruning", "bucketed",
-    ]));
-    run_ok(bin().args([
-        "edits", net.to_str().expect("utf8"),
-        "--trace", trace.to_str().expect("utf8"),
-        "--pruning", "whole-domain",
-    ]));
+    // Both strategies run on optimize, batch and edits...
+    let net_arg = net.to_str().expect("utf8");
+    let trace_arg = trace.to_str().expect("utf8");
+    let entry_points = |strategy: &'static str| {
+        [
+            vec!["optimize", net_arg, "--pruning", strategy],
+            vec!["batch", "--count", "1", "--terminals", "4", "--seed", "3", "--pruning", strategy],
+            vec!["edits", net_arg, "--trace", trace_arg, "--pruning", strategy],
+        ]
+    };
+    for strategy in ["naive", "divide-conquer"] {
+        for cmd in entry_points(strategy) {
+            run_ok(bin().args(&cmd));
+        }
+    }
 
-    // ...and every entry point rejects a malformed strategy through the
-    // one shared parser.
-    for cmd in [
-        vec!["optimize", net.to_str().expect("utf8"), "--pruning", "quantum"],
-        vec!["optimize", net.to_str().expect("utf8"), "--pruning", "approx:nope"],
-        vec!["optimize", net.to_str().expect("utf8"), "--pruning", "approx:1.5"],
-        vec!["batch", "--count", "1", "--pruning", "quantum"],
-        vec![
-            "edits",
-            net.to_str().expect("utf8"),
-            "--trace",
-            trace.to_str().expect("utf8"),
-            "--pruning",
-            "approx:-0.1",
-        ],
-    ] {
-        let out = bin().args(&cmd).output().expect("spawn");
-        assert!(!out.status.success(), "{cmd:?} must fail");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--pruning"), "{cmd:?} stderr names the flag: {stderr}");
+    // ...and every entry point rejects any other spelling, including the
+    // removed strategies, through the one shared parser.
+    for strategy in ["quantum", "bucketed", "whole-domain", "approx:0.05"] {
+        for cmd in entry_points(strategy) {
+            let out = bin().args(&cmd).output().expect("spawn");
+            assert!(!out.status.success(), "{cmd:?} must fail");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("--pruning"), "{cmd:?} stderr names the flag: {stderr}");
+        }
     }
 
     // Commands that never learned the flag reject it as unknown.
     let out = bin()
-        .args(["ard", net.to_str().expect("utf8"), "--pruning", "naive"])
+        .args(["ard", net_arg, "--pruning", "naive"])
         .output()
         .expect("spawn");
     assert!(!out.status.success(), "ard must reject --pruning as unknown");

@@ -20,9 +20,7 @@
 //! curve, from which "min cost subject to `ARD ≤ spec`" (Problem 2.1) is
 //! read off directly.
 
-use msrnet_pwl::{
-    mfs_divide_conquer, mfs_naive, mfs_sorted_sweep_with, FuncPoint, Pwl, SegmentArena,
-};
+use msrnet_pwl::{mfs_divide_conquer, mfs_naive, FuncPoint, Pwl, SegmentArena};
 use msrnet_rctree::{
     Assignment, Net, Orientation, Repeater, Rooted, StructuralRemap, TerminalId, VertexId,
     VertexKind,
@@ -45,17 +43,6 @@ struct Meta {
     /// terminal and the pin, mod 2). Only meaningful when inverting
     /// repeaters are enabled; always `false` otherwise.
     parity: bool,
-    /// Relaxation ledger: an upper bound on the depth of any chain of
-    /// eps-relaxed kills this candidate stands in for. A candidate with
-    /// ledger `L` covers every candidate it (transitively) displaced
-    /// within a factor `(1+eps)^L` in each non-negative dimension. Under
-    /// exact strategies every ledger stays 0. Maintained by the sorted
-    /// sweep's kill callback and propagated structurally: joins take the
-    /// max of the sides, augment/repeater extensions inherit, and every
-    /// champion-based predictive kill is gated on the killer's ledger
-    /// covering the victim's — so the root-set maximum
-    /// ([`MsriStats::relax_ledger`]) is an honest end-to-end exponent.
-    relax: u32,
 }
 
 type Cand = FuncPoint<Meta>;
@@ -113,15 +100,6 @@ pub struct MsriStats {
     pub join: StepStats,
     /// Per-step counters for `RepeaterSolutions` (Fig. 8).
     pub repeater: StepStats,
-    /// Kills where the `approx:EPS` relaxation was load-bearing (the
-    /// exact predicate would have kept the candidate). Always 0 under
-    /// exact strategies.
-    pub relaxed_kills: u64,
-    /// Maximum relaxation-ledger value over the candidates that reached
-    /// `RootSolutions` — the exponent `L` of the end-to-end
-    /// `(1+eps)^L` error budget reported by
-    /// [`MsriStats::budget_factor`]. Always 0 under exact strategies.
-    pub relax_ledger: u32,
 }
 
 impl MsriStats {
@@ -132,18 +110,6 @@ impl MsriStats {
             Step::Join => &mut self.join,
             Step::Repeater => &mut self.repeater,
         }
-    }
-
-    /// The machine-checked worst-case end-to-end error factor of an
-    /// `approx:eps` run: `(1+eps)^L` with `L` the maximum relaxation
-    /// ledger over the candidates entering `RootSolutions`. Every
-    /// reported frontier value is within this factor of the exact
-    /// frontier's (for the non-negative delay/cost dimensions; see
-    /// ALGORITHMS.md, "the (1+eps) ledger"). Exactly 1.0 whenever no
-    /// relaxed kill contributed to the surviving frontier — in
-    /// particular under every exact strategy.
-    pub fn budget_factor(&self, eps: f64) -> f64 {
-        (1.0 + eps).powi(self.relax_ledger as i32)
     }
 
     /// Largest candidate set entering any prune, across all DP steps —
@@ -165,8 +131,7 @@ pub struct StepStats {
     pub generated: u64,
     /// Candidates eliminated by cheap scalar predicates: `JoinSets`'
     /// pre-materialization cutoffs (empty shifted domain, champion
-    /// dominance) plus the sorted sweep's whole-domain summary kills
-    /// under the bucketed/approximate strategies.
+    /// dominance).
     pub scalar_pruned: u64,
     /// Candidates fully eliminated during pruning by exact PWL region
     /// comparisons (including any whose validity domain was already
@@ -213,14 +178,6 @@ struct Champion {
     dom_hi: f64,
     y_hi: f64,
     d_hi: f64,
-    /// Relaxation ledger of the candidate behind this champion. A
-    /// champion may absorb a victim only when its own ledger already
-    /// covers the victim's bound (`relax >= victim bound`) — otherwise
-    /// the kill is skipped so [`MsriStats::relax_ledger`] stays an upper
-    /// bound. Always 0 under exact strategies, where the gate is
-    /// trivially satisfied and pruning is bit-identical to a gateless
-    /// run.
-    relax: u32,
 }
 
 /// Pre-computed library envelope for predictive (bound-before-
@@ -270,8 +227,6 @@ struct RepChampion {
     y0: f64,
     y_b: f64,
     d: f64,
-    /// Ledger gate, as in [`Champion::relax`].
-    relax: u32,
 }
 
 impl LibPrebounds {
@@ -869,6 +824,10 @@ fn cap_bound(
 /// of materializing whole products.
 const BLOCK_LIMIT: usize = 8192;
 
+/// Subproblem size below which divide-and-conquer MFS switches to the
+/// pairwise method.
+const MFS_LEAF_THRESHOLD: usize = 8;
+
 struct Solver<'a> {
     net: &'a Net,
     rooted: &'a Rooted,
@@ -945,7 +904,6 @@ impl Solver<'_> {
                     Step::Leaf,
                     trace,
                     false,
-                    0,
                     0.0,
                     0.0,
                     f64::NEG_INFINITY,
@@ -991,7 +949,6 @@ impl Solver<'_> {
         step: Step,
         trace: u32,
         parity: bool,
-        relax: u32,
         cost: f64,
         cap: f64,
         d_sinks: f64,
@@ -1003,7 +960,7 @@ impl Solver<'_> {
         let segs = arrival.segments().len() + diameter.segments().len();
         self.stats.max_segments = self.stats.max_segments.max(segs);
         FuncPoint::new(
-            Meta { trace, parity, relax },
+            Meta { trace, parity },
             vec![cost, cap, d_sinks],
             vec![arrival, diameter],
         )
@@ -1042,7 +999,6 @@ impl Solver<'_> {
                 Step::Leaf,
                 trace,
                 false,
-                0,
                 o.cost,
                 o.cap,
                 d_sinks,
@@ -1094,7 +1050,6 @@ impl Solver<'_> {
                     Step::Augment,
                     trace,
                     cand.payload.parity,
-                    cand.payload.relax,
                     cost,
                     cap,
                     d_sinks,
@@ -1186,7 +1141,6 @@ impl Solver<'_> {
         let mut r_hi_max = f64::NEG_INFINITY;
         let mut r_y_min = f64::INFINITY;
         let mut r_d_min = f64::INFINITY;
-        let mut r_relax_max = 0u32;
         if row_skip {
             for (r, ri) in right.iter().zip(&r_info) {
                 r_cap_min = r_cap_min.min(r.scalars[CAP]);
@@ -1197,7 +1151,6 @@ impl Solver<'_> {
                 r_hi_max = r_hi_max.max(ri[1]);
                 r_y_min = r_y_min.min(ri[2]);
                 r_d_min = r_d_min.min(ri[3]);
-                r_relax_max = r_relax_max.max(r.payload.relax);
             }
         }
         let mut champs: Vec<Champion> = Vec::new();
@@ -1239,10 +1192,8 @@ impl Solver<'_> {
                         .max(r_d_min)
                         .max(li[2] + r_ds_min)
                         .max(r_y_min + l.scalars[DSINKS]);
-                    let row_relax = l.payload.relax.max(r_relax_max);
                     if let Some(k) = champs.iter().position(|c| {
                         !c.parity
-                            && c.relax >= row_relax
                             && c.cost <= row_cost + slack
                             && c.cap <= row_cap + slack
                             && c.d_sinks <= row_ds + slack
@@ -1301,10 +1252,8 @@ impl Solver<'_> {
                     .max(ri[3])
                     .max(li[2] + r.scalars[DSINKS])
                     .max(ri[2] + l.scalars[DSINKS]);
-                let relax = l.payload.relax.max(r.payload.relax);
                 if let Some(k) = champs.iter().position(|c| {
                     c.parity == parity
-                        && c.relax >= relax
                         && c.cost <= cost
                         && c.cap <= cap
                         && c.d_sinks <= d_sinks
@@ -1342,7 +1291,6 @@ impl Solver<'_> {
                     Step::Join,
                     trace,
                     parity,
-                    relax,
                     cost,
                     cap,
                     d_sinks,
@@ -1367,7 +1315,6 @@ impl Solver<'_> {
                             dom_hi: span.1,
                             y_hi: cand.pwls[ARR].max_value().unwrap_or(f64::INFINITY),
                             d_hi: cand.pwls[DIA].max_value().unwrap_or(f64::INFINITY),
-                            relax,
                         },
                     );
                 }
@@ -1445,7 +1392,6 @@ impl Solver<'_> {
                     let f_yb = f_y0 + env_min_up_res * b;
                     if let Some(k) = champs.iter().position(|c| {
                         c.parity == parity
-                            && c.relax >= cand.payload.relax
                             && c.cost <= f_cost + slack
                             && c.cap <= env_min_cap + slack
                             && c.d_sinks <= f_ds + slack
@@ -1494,7 +1440,6 @@ impl Solver<'_> {
                     if predictive {
                         if let Some(k) = champs.iter().position(|c| {
                             c.parity == parity
-                                && c.relax >= cand.payload.relax
                                 && c.cost <= cost + slack
                                 && c.cap <= cp + slack
                                 && c.d_sinks <= d_sinks + slack
@@ -1533,7 +1478,6 @@ impl Solver<'_> {
                                 y0: e_y0,
                                 y_b: e_yb,
                                 d: d_at,
-                                relax: cand.payload.relax,
                             },
                         );
                     }
@@ -1541,7 +1485,6 @@ impl Solver<'_> {
                         Step::Repeater,
                         trace,
                         parity,
-                        cand.payload.relax,
                         cost,
                         cp,
                         d_sinks,
@@ -1592,9 +1535,6 @@ impl Solver<'_> {
                             + cand.scalars[DSINKS],
                     );
                 }
-                // Any candidate contributing a root evaluation folds its
-                // relaxation ledger into the reported end-to-end budget.
-                self.stats.relax_ledger = self.stats.relax_ledger.max(cand.payload.relax);
                 out.push(RootEval {
                     cost: cand.scalars[COST] + o.cost,
                     ard,
@@ -1698,49 +1638,26 @@ impl Solver<'_> {
         });
         // Inverting-repeater extension: candidates of different parity
         // are incomparable; prune within each class.
-        let (kept, scalar_killed) = if self.options.allow_inverting {
+        let kept = if self.options.allow_inverting {
             let (even, odd): (Vec<Cand>, Vec<Cand>) =
                 set.into_iter().partition(|c| !c.payload.parity);
-            let (mut kept, ke) = self.prune_class(even);
-            let (odd_kept, ko) = self.prune_class(odd);
-            kept.extend(odd_kept);
-            (kept, ke + ko)
+            let mut kept = self.prune_class(even);
+            kept.extend(self.prune_class(odd));
+            kept
         } else {
             self.prune_class(set)
         };
-        let st = self.stats.step_mut(step);
-        st.scalar_pruned += scalar_killed;
-        st.pwl_pruned += (before - kept.len()) as u64 - scalar_killed;
+        self.stats.step_mut(step).pwl_pruned += (before - kept.len()) as u64;
         self.stats.surviving += kept.len() as u64;
         self.stats.max_set_size = self.stats.max_set_size.max(kept.len());
         kept
     }
 
-    /// Dispatches one parity class to the configured MFS; returns the
-    /// survivors and how many candidates the strategy eliminated with
-    /// cheap scalar/summary predicates (zero for strategies that only do
-    /// full PWL comparisons).
-    fn prune_class(&mut self, set: Vec<Cand>) -> (Vec<Cand>, u64) {
+    /// Dispatches one parity class to the configured MFS.
+    fn prune_class(&self, set: Vec<Cand>) -> Vec<Cand> {
         match self.options.pruning {
-            PruningStrategy::DivideConquer => (
-                mfs_divide_conquer(set, self.options.mfs_leaf_threshold),
-                0,
-            ),
-            PruningStrategy::Naive => (mfs_naive(set), 0),
-            PruningStrategy::Bucketed => {
-                let (kept, counts) = mfs_sorted_sweep_with(set, 0.0, &mut |s, v, relaxed| {
-                    s.relax = s.relax.max(v.relax + u32::from(relaxed));
-                });
-                (kept, counts.scalar_killed)
-            }
-            PruningStrategy::WholeDomainOnly => (whole_domain_prune(set), 0),
-            PruningStrategy::Approximate { eps } => {
-                let (kept, counts) = mfs_sorted_sweep_with(set, eps, &mut |s, v, relaxed| {
-                    s.relax = s.relax.max(v.relax + u32::from(relaxed));
-                });
-                self.stats.relaxed_kills += counts.relaxed_killed;
-                (kept, counts.scalar_killed)
-            }
+            PruningStrategy::DivideConquer => mfs_divide_conquer(set, MFS_LEAF_THRESHOLD),
+            PruningStrategy::Naive => mfs_naive(set),
         }
     }
 }
@@ -1750,31 +1667,6 @@ impl Solver<'_> {
 fn has_terminals(c: &Cand) -> bool {
     c.scalars[DSINKS] > f64::NEG_INFINITY
         || c.pwls[ARR].max_value().is_some_and(|v| v > f64::NEG_INFINITY)
-}
-
-/// Ablation pruning: discard a candidate only when a single other
-/// candidate dominates it over its entire remaining domain.
-fn whole_domain_prune(set: Vec<Cand>) -> Vec<Cand> {
-    let n = set.len();
-    let mut dead = vec![false; n];
-    for i in 0..n {
-        for j in 0..n {
-            if i == j || dead[i] || dead[j] {
-                continue;
-            }
-            // Ties kill the later index only: (i, j) is visited with
-            // i < j before (j, i), so identical candidates keep one
-            // representative.
-            let region = set[i].dominance_region(&set[j]); // msrnet-allow: panic i, j < n = set.len() by loop bounds
-            if region.measure() >= set[j].domain().measure() - 1e-12 {
-                dead[j] = true;
-            }
-        }
-    }
-    set.into_iter()
-        .zip(dead)
-        .filter_map(|(c, d)| (!d).then_some(c))
-        .collect()
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -1907,12 +1799,12 @@ mod tests {
         let t_right = s.push_trace(TraceNode::Empty);
         let b = s.cap_bound;
         let left = s.candidate(
-            Step::Leaf, t_left, false, 0, 1.0, 2.0, 10.0,
+            Step::Leaf, t_left, false, 1.0, 2.0, 10.0,
             Pwl::linear(4.0, 1.0, 0.0, b), // Y_l = 4 + x
             Pwl::neg_inf(0.0, b),
         );
         let right = s.candidate(
-            Step::Leaf, t_right, false, 0, 2.0, 3.0, 20.0,
+            Step::Leaf, t_right, false, 2.0, 3.0, 20.0,
             Pwl::linear(30.0, 2.0, 0.0, b), // Y_r = 30 + 2x
             Pwl::neg_inf(0.0, b),
         );
@@ -1938,7 +1830,7 @@ mod tests {
         let t = s.push_trace(TraceNode::Empty);
         let b = s.cap_bound;
         let cand = s.candidate(
-            Step::Leaf, t, false, 0, 0.0, 4.0, 9.0,
+            Step::Leaf, t, false, 0.0, 4.0, 9.0,
             Pwl::linear(6.0, 2.0, 0.0, b),  // Y(x) = 6 + 2x
             Pwl::linear(12.0, 1.0, 0.0, b), // D(x) = 12 + x
         );
@@ -1973,7 +1865,7 @@ mod tests {
         // Candidate valid only for c_E ≥ 1, but the repeater's child-side
         // cap is 0.5: the buffered version must be skipped.
         let cand = s.candidate(
-            Step::Leaf, t, false, 0, 0.0, 4.0, 9.0,
+            Step::Leaf, t, false, 0.0, 4.0, 9.0,
             Pwl::linear(6.0, 2.0, 1.0, b),
             Pwl::linear(12.0, 1.0, 1.0, b),
         );
@@ -2167,20 +2059,6 @@ mod tests {
         .unwrap()
     }
 
-    fn run_fix(library: &[Repeater], options: &MsriOptions) -> TradeoffCurve {
-        let fix = Fix::new();
-        optimize_with_wires_in(
-            &fix.net,
-            TerminalId(0),
-            library,
-            &fix.term_opts,
-            &fix.wire_options,
-            options,
-            &mut MsriWorkspace::new(),
-        )
-        .unwrap()
-    }
-
     #[test]
     fn predictive_pruning_is_bit_identical_under_every_exact_strategy() {
         let net = chain_net();
@@ -2188,8 +2066,6 @@ mod tests {
         let strategies = [
             PruningStrategy::DivideConquer,
             PruningStrategy::Naive,
-            PruningStrategy::Bucketed,
-            PruningStrategy::WholeDomainOnly,
         ];
         let mut any_rejected = false;
         for strat in strategies {
@@ -2213,10 +2089,6 @@ mod tests {
             assert_eq!(s_off.repeater.prebound_rejected, 0);
             assert_eq!(s_off.repeater.materialized_avoided, 0);
             assert_eq!(s_off.join.materialized_avoided, 0);
-            // Exact runs accumulate no relaxation budget either way.
-            assert_eq!(s_on.relax_ledger, 0);
-            assert_eq!(s_on.relaxed_kills, 0);
-            assert_eq!(s_on.budget_factor(strat.eps()), 1.0);
             any_rejected |= s_on.repeater.prebound_rejected > 0
                 || s_on.repeater.materialized_avoided > 0
                 || s_on.join.materialized_avoided > 0;
@@ -2226,44 +2098,6 @@ mod tests {
             );
         }
         assert!(any_rejected, "pre-bounds never fired on the rich library");
-    }
-
-    #[test]
-    fn approx_frontier_stays_within_the_reported_budget() {
-        let net = chain_net();
-        let library = rich_library();
-        let exact = run_net(&net, &library, &MsriOptions::default());
-        for eps in [0.01, 0.05, 0.25] {
-            let opts = MsriOptions {
-                pruning: PruningStrategy::Approximate { eps },
-                ..MsriOptions::default()
-            };
-            let approx = run_net(&net, &library, &opts);
-            let factor = approx.stats().budget_factor(eps);
-            assert!(factor >= 1.0);
-            // Coverage: every exact frontier point is matched by an approx
-            // point within the machine-reported (1+eps)^L budget on both
-            // axes.
-            for p in exact.points() {
-                let covered = approx.points().iter().any(|q| {
-                    q.cost <= p.cost * factor + 1e-9 && q.ard <= p.ard * factor + 1e-9
-                });
-                assert!(
-                    covered,
-                    "exact point (cost {}, ard {}) not covered within factor {factor} at eps {eps}",
-                    p.cost, p.ard
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn exact_budget_factor_is_exactly_one() {
-        let library = rich_library();
-        let curve = run_fix(&library, &MsriOptions::default());
-        let stats = curve.stats();
-        assert_eq!(stats.relax_ledger, 0);
-        assert_eq!(stats.budget_factor(0.0), 1.0);
     }
 
     #[test]

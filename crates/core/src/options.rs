@@ -230,85 +230,33 @@ impl Default for WireOption {
 
 /// How the solution sets are pruned between dynamic-programming steps.
 ///
-/// `DivideConquer`, `Naive`, `Bucketed` and `WholeDomainOnly` are exact:
-/// they produce identical trade-off curves. `Approximate` trades a
-/// bounded relative error for smaller candidate sets; with `eps = 0.0`
-/// it too is exact.
-// No `Eq`: `Approximate` carries an `f64`.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// Both strategies are exact and produce bit-identical trade-off curves;
+/// `Naive` is the reference the default is checked against.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PruningStrategy {
     /// The paper's divide-and-conquer MFS (Fig. 4) — the default.
     #[default]
     DivideConquer,
     /// Naive pairwise MFS (`O(n²)` comparisons, same result).
     Naive,
-    /// Cost-bucketed sorted-sweep MFS ([`msrnet_pwl::mfs_bucketed`]):
-    /// candidates are sorted by `(cost, cap, …)` with `total_cmp` and
-    /// scalar/summary-dominated ones are eliminated before any PWL
-    /// region comparison (Li–Shi-style predicate ordering). Exact —
-    /// same frontiers as the default.
-    Bucketed,
-    /// Ablation: discard a candidate only when another dominates it over
-    /// its **whole** remaining domain; no partial-region invalidation.
-    /// Correct but weaker — kept to quantify the value of functional
-    /// (region-wise) pruning.
-    WholeDomainOnly,
-    /// Bucketed sweep plus eps-relative coalescing
-    /// ([`msrnet_pwl::mfs_approximate`]): candidates within a relative
-    /// `eps` of a kept candidate in every dimension are dropped, with a
-    /// (1+eps) coverage guarantee on the resulting frontier. `eps` must
-    /// be in `[0, 1)`; `eps = 0.0` is exact.
-    Approximate {
-        /// Relative coalescing tolerance, in `[0, 1)`.
-        eps: f64,
-    },
 }
 
 impl PruningStrategy {
     /// Parses the canonical spelling used by every entry point (CLI
-    /// flags, batch job specs, the service protocol):
-    /// `divide-conquer`, `naive`, `bucketed`, `whole-domain`, or
-    /// `approx:EPS` with `EPS` a finite float in `[0, 1)`.
+    /// flags, batch job specs, the service protocol): `divide-conquer`
+    /// or `naive`.
     ///
     /// This is the single parser all surfaces share, so a strategy
     /// round-trips unchanged through [`fmt::Display`] regardless of
     /// which layer carried it.
     pub fn parse(s: &str) -> Result<Self, String> {
-        if let Some(eps) = s.strip_prefix("approx:") {
-            let eps: f64 = eps
-                .parse()
-                .map_err(|_| format!("invalid approx eps: {eps}"))?;
-            if !eps.is_finite() || !(0.0..1.0).contains(&eps) {
-                return Err(format!("approx eps must be in [0, 1), got {eps}"));
-            }
-            return Ok(PruningStrategy::Approximate { eps });
-        }
         match s {
             "divide-conquer" => Ok(PruningStrategy::DivideConquer),
             "naive" => Ok(PruningStrategy::Naive),
-            "bucketed" => Ok(PruningStrategy::Bucketed),
-            "whole-domain" => Ok(PruningStrategy::WholeDomainOnly),
             _ => Err(format!(
-                "unknown pruning strategy '{s}' \
-                 (expected divide-conquer, naive, bucketed, whole-domain, or approx:EPS)"
+                "unknown pruning strategy '{s}' (expected divide-conquer or naive)"
             )),
         }
-    }
-
-    /// The `eps` of [`PruningStrategy::Approximate`], 0 otherwise — the
-    /// per-step relative slack entering the `(1+eps)^L` budget.
-    pub fn eps(&self) -> f64 {
-        match self {
-            PruningStrategy::Approximate { eps } => *eps,
-            _ => 0.0,
-        }
-    }
-
-    /// Whether pruning is exact (bit-identical frontiers across all
-    /// exact strategies). `approx:0` counts as exact.
-    pub fn is_exact(&self) -> bool {
-        // msrnet-allow: float-eq eps == 0.0 is the documented exact-path sentinel
-        self.eps() == 0.0
     }
 }
 
@@ -317,9 +265,6 @@ impl fmt::Display for PruningStrategy {
         match self {
             PruningStrategy::DivideConquer => write!(f, "divide-conquer"),
             PruningStrategy::Naive => write!(f, "naive"),
-            PruningStrategy::Bucketed => write!(f, "bucketed"),
-            PruningStrategy::WholeDomainOnly => write!(f, "whole-domain"),
-            PruningStrategy::Approximate { eps } => write!(f, "approx:{eps}"),
         }
     }
 }
@@ -329,9 +274,6 @@ impl fmt::Display for PruningStrategy {
 pub struct MsriOptions {
     /// Pruning strategy between DP steps.
     pub pruning: PruningStrategy,
-    /// Subproblem size below which divide-and-conquer MFS switches to the
-    /// pairwise method.
-    pub mfs_leaf_threshold: usize,
     /// Allow signal-inverting repeaters (paper §V extension). When any
     /// library repeater is marked inverting, candidates track signal
     /// parity and the root enforces non-inverted end-to-end polarity.
@@ -357,7 +299,6 @@ impl Default for MsriOptions {
     fn default() -> Self {
         MsriOptions {
             pruning: PruningStrategy::DivideConquer,
-            mfs_leaf_threshold: 8,
             allow_inverting: false,
             predictive: true,
             prebound_slack: 0.0,
@@ -470,7 +411,6 @@ mod tests {
     fn default_options_use_divide_and_conquer() {
         let o = MsriOptions::default();
         assert_eq!(o.pruning, PruningStrategy::DivideConquer);
-        assert!(o.mfs_leaf_threshold >= 2);
         assert!(!o.allow_inverting);
         assert!(o.predictive);
         assert_eq!(o.prebound_slack, 0.0);
@@ -478,37 +418,17 @@ mod tests {
 
     #[test]
     fn pruning_strategy_parse_display_round_trip() {
-        let all = [
-            PruningStrategy::DivideConquer,
-            PruningStrategy::Naive,
-            PruningStrategy::Bucketed,
-            PruningStrategy::WholeDomainOnly,
-            PruningStrategy::Approximate { eps: 0.05 },
-            PruningStrategy::Approximate { eps: 0.0 },
-        ];
-        for s in all {
+        for s in [PruningStrategy::DivideConquer, PruningStrategy::Naive] {
             let text = s.to_string();
             assert_eq!(PruningStrategy::parse(&text), Ok(s), "round-trip {text}");
         }
-        assert_eq!(PruningStrategy::parse("approx:0.25"), Ok(PruningStrategy::Approximate { eps: 0.25 }));
     }
 
     #[test]
     fn pruning_strategy_parse_rejects_garbage() {
-        assert!(PruningStrategy::parse("fancy").is_err());
-        assert!(PruningStrategy::parse("approx:").is_err());
-        assert!(PruningStrategy::parse("approx:nan").unwrap_err().contains("[0, 1)"));
-        assert!(PruningStrategy::parse("approx:1.0").is_err());
-        assert!(PruningStrategy::parse("approx:-0.1").is_err());
-        assert!(PruningStrategy::parse("approx:inf").is_err());
-    }
-
-    #[test]
-    fn pruning_strategy_eps_and_exactness() {
-        assert_eq!(PruningStrategy::DivideConquer.eps(), 0.0);
-        assert_eq!(PruningStrategy::Approximate { eps: 0.1 }.eps(), 0.1);
-        assert!(PruningStrategy::Bucketed.is_exact());
-        assert!(PruningStrategy::Approximate { eps: 0.0 }.is_exact());
-        assert!(!PruningStrategy::Approximate { eps: 0.1 }.is_exact());
+        for bad in ["fancy", "", "bucketed", "whole-domain", "approx:0.05", "approx:0", "Naive"] {
+            let e = PruningStrategy::parse(bad).unwrap_err();
+            assert!(e.contains("divide-conquer or naive"), "{bad:?}: {e}");
+        }
     }
 }

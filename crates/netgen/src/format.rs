@@ -23,6 +23,7 @@
 //! * `wire` length defaults to the rectilinear distance of its
 //!   endpoints; `res_scale`/`cap_scale` carry wire-width scaling.
 //! * Names must be unique; wires refer to names.
+//! * Every number must be finite; `tech` comes exactly once, first.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -79,8 +80,9 @@ impl std::error::Error for ParseNetError {}
 /// # Errors
 ///
 /// Returns a [`ParseNetError`] naming the offending line for syntax
-/// problems, unknown vertex references, duplicate names, or a net that
-/// fails validation.
+/// problems, non-finite or out-of-range numbers, unknown vertex
+/// references, duplicate names, or a net that fails validation. No
+/// input makes it panic.
 pub fn parse_net_file(text: &str) -> Result<NetFile, ParseNetError> {
     let mut builder: Option<NetBuilder> = None;
     let mut ids: BTreeMap<String, VertexId> = BTreeMap::new();
@@ -102,6 +104,9 @@ pub fn parse_net_file(text: &str) -> Result<NetFile, ParseNetError> {
         let rest: Vec<&str> = words.collect();
         match keyword {
             "tech" => {
+                if builder.is_some() {
+                    return Err(ParseNetError::new(lineno, "duplicate `tech` line"));
+                }
                 let [r, c] = positional::<2>(lineno, &rest)?;
                 let r = parse_num(lineno, r)?;
                 let c = parse_num(lineno, c)?;
@@ -185,17 +190,19 @@ pub fn parse_net_file(text: &str) -> Result<NetFile, ParseNetError> {
                     .map(|v| parse_num(lineno, v))
                     .transpose()?
                     .unwrap_or(1.0);
+                if rs < 0.0 || cs < 0.0 {
+                    return Err(ParseNetError::new(lineno, "negative wire scaling"));
+                }
                 // msrnet-allow: float-eq 1.0 is the exact parsed default; scaling is skipped only for bit-exact unit factors
                 if rs != 1.0 || cs != 1.0 {
                     deferred.push((e, rs, cs));
                 }
             }
             "repeater" => {
-                let kv = keyvals(lineno, &rest[1..])?;
-                if rest.is_empty() {
+                let Some((&name, params)) = rest.split_first() else {
                     return Err(ParseNetError::new(lineno, "expected: repeater name ..."));
-                }
-                let name = rest[0];
+                };
+                let kv = keyvals(lineno, params)?;
                 let (a2b_int, a2b_res) = pair(lineno, &kv, "a2b")?;
                 let (b2a_int, b2a_res) = pair(lineno, &kv, "b2a")?;
                 let (cap_a, cap_b) = pair(lineno, &kv, "cap")?;
@@ -268,9 +275,12 @@ fn keyvals<'a>(
     Ok(kv)
 }
 
+/// A finite number; `nan`, `inf` and overflowing literals are rejected.
 fn parse_num(line: usize, s: &str) -> Result<f64, ParseNetError> {
-    s.parse::<f64>()
-        .map_err(|_| ParseNetError::new(line, format!("invalid number `{s}`")))
+    match s.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        _ => Err(ParseNetError::new(line, format!("invalid number `{s}`"))),
+    }
 }
 
 /// `key=-` means −∞ (non-source / non-sink); missing key means 0.
@@ -514,5 +524,74 @@ repeater irep a2b=25,90 b2a=30,95 cap=0.025,0.03 cost=1 inverting
         let text = "\n# hi\ntech 1 1\n  \nterminal a 0 0 cap=1 res=1 # inline\nterminal b 5 0 cap=1\nwire a b\n";
         let f = parse_net_file(text).expect("parse");
         assert_eq!(f.net.topology.terminal_count(), 2);
+    }
+
+    #[test]
+    fn outside_input_ends_in_a_typed_error_never_a_panic() {
+        const NET: &str = "tech 1 1\nterminal a 0 0 cap=1 res=1\nterminal b 5 0 cap=1\n";
+        let with = |tail: &str| format!("{NET}{tail}");
+        // (case, text, expected error line, message fragment)
+        let cases: Vec<(&str, String, usize, &str)> = vec![
+            ("bare repeater", with("wire a b\nrepeater\n"), 5, "expected: repeater name"),
+            (
+                "second tech",
+                "tech 1 1\nterminal a 0 0 cap=1 res=1\ntech 1 1\nterminal b 5 0 cap=1\nwire a b\n"
+                    .into(),
+                3,
+                "duplicate `tech`",
+            ),
+            ("res_scale nan", with("wire a b res_scale=nan\n"), 4, "invalid number"),
+            ("res_scale negative", with("wire a b res_scale=-1\n"), 4, "negative wire scaling"),
+            ("cap_scale nan", with("wire a b cap_scale=NaN\n"), 4, "invalid number"),
+            ("cap_scale negative", with("wire a b cap_scale=-0.5\n"), 4, "negative wire scaling"),
+            ("tech nan", "tech nan 1\n".into(), 1, "invalid number"),
+            ("tech inf", "tech 1 inf\n".into(), 1, "invalid number"),
+            ("tech negative", "tech -1 1\n".into(), 1, "negative technology"),
+            ("length inf", with("wire a b length=inf\n"), 4, "invalid number"),
+            ("length negative", with("wire a b length=-3\n"), 4, "invalid wire length"),
+            ("terminal cap nan", with("terminal c 9 0 cap=nan\n"), 4, "invalid number"),
+            ("arrival nan", with("terminal c 9 0 cap=1 arrival=nan\n"), 4, "invalid number"),
+            ("downstream inf", with("terminal c 9 0 cap=1 downstream=inf\n"), 4, "invalid number"),
+            ("terminal res -inf", with("terminal c 9 0 cap=1 res=-inf\n"), 4, "invalid number"),
+            ("coordinate nan", with("steiner s nan 0\n"), 4, "invalid number"),
+            ("coordinate overflow", with("insertion p 0 1e999\n"), 4, "invalid number"),
+            (
+                "repeater cost nan",
+                with("wire a b\nrepeater r a2b=1,1 b2a=1,1 cap=1,1 cost=nan\n"),
+                5,
+                "invalid number",
+            ),
+            (
+                "repeater cap nan",
+                with("wire a b\nrepeater r a2b=1,1 b2a=1,1 cap=nan,1 cost=1\n"),
+                5,
+                "invalid number",
+            ),
+            (
+                "repeater drive inf",
+                with("wire a b\nrepeater r a2b=inf,1 b2a=1,1 cap=1,1 cost=1\n"),
+                5,
+                "invalid number",
+            ),
+            (
+                "wire length overflows",
+                "tech 1 1\nterminal a -1e308 0 cap=1 res=1\nterminal b 1e308 0 cap=1\nwire a b\n"
+                    .into(),
+                0,
+                "invalid net",
+            ),
+            ("self-loop wire", with("wire a a\nwire a b\n"), 0, "invalid net"),
+        ];
+        for (case, text, line, fragment) in &cases {
+            let got = std::panic::catch_unwind(|| parse_net_file(text))
+                .unwrap_or_else(|_| panic!("{case}: the parser panicked"));
+            let err = got.expect_err(case);
+            assert_eq!(err.line, *line, "{case}: {err}");
+            assert!(err.message.contains(fragment), "{case}: {err}");
+        }
+        // The documented `-` sentinel still means "not a source/sink".
+        let sentinels = with("terminal c 9 0 cap=1 arrival=- downstream=-\nwire a b\nwire b c\n");
+        let ok = parse_net_file(&sentinels).expect("sentinels parse");
+        assert_eq!(ok.net.terminal(TerminalId(2)).arrival, f64::NEG_INFINITY);
     }
 }

@@ -15,10 +15,7 @@
 //! the allocating composition of public primitives bit for bit, and the
 //! pruned survivor lists equal those of a plain, unkeyed reference.
 
-use msrnet_pwl::{
-    mfs_approximate, mfs_bucketed, mfs_divide_conquer, mfs_naive, FuncPoint, IntervalSet, Pwl,
-    Segment,
-};
+use msrnet_pwl::{mfs_divide_conquer, mfs_naive, FuncPoint, IntervalSet, Pwl, Segment};
 use msrnet_rng::{Rng, SeedableRng, SplitMix64};
 
 const DOMAIN: (f64, f64) = (0.0, 10.0);
@@ -164,91 +161,6 @@ fn strategies_expose_identical_optimal_envelopes() {
                 ),
                 (None, None) => {}
                 _ => panic!("seed {seed}: envelope defined for one strategy only at x={x}"),
-            }
-        }
-    }
-}
-
-#[test]
-fn bucketed_sweep_satisfies_the_coverage_law() {
-    for seed in 0..60u64 {
-        let originals = random_family(seed);
-        let kept = mfs_bucketed(originals.clone());
-        assert_covered(&originals, &kept, seed);
-        let kept0 = mfs_approximate(originals.clone(), 0.0);
-        assert_covered(&originals, &kept0, seed);
-    }
-}
-
-#[test]
-fn bucketed_and_exact_approximate_match_the_naive_envelope() {
-    // Tie representatives may differ between sweep orders, but the
-    // pointwise optimum over survivors must be identical to naive MFS
-    // for the exact variants (bucketed, and approximate at eps = 0).
-    for seed in 120..170u64 {
-        let originals = random_family(seed);
-        let naive = mfs_naive(originals.clone());
-        let bucketed = mfs_bucketed(originals.clone());
-        let approx0 = mfs_approximate(originals, 0.0);
-        for x in sample_points() {
-            let envelope = |kept: &[FuncPoint<usize>]| -> Option<f64> {
-                kept.iter()
-                    .filter(|s| s.domain().contains(x))
-                    .filter_map(|s| s.pwls[0].eval(x))
-                    .min_by(f64::total_cmp)
-            };
-            let n = envelope(&naive);
-            for (label, kept) in [("bucketed", &bucketed), ("approx0", &approx0)] {
-                match (n, envelope(kept)) {
-                    (Some(a), Some(b)) => assert!(
-                        (a - b).abs() <= EPS,
-                        "seed {seed}: {label} envelope diverges at x={x}: {a} vs {b}"
-                    ),
-                    (None, None) => {}
-                    _ => panic!(
-                        "seed {seed}: {label} envelope defined differently from naive at x={x}"
-                    ),
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn approximate_sweep_satisfies_the_relaxed_coverage_law() {
-    // The (1+eps) guarantee: wherever an original candidate was defined,
-    // some survivor is within a (1+eps) relative factor of it in every
-    // scalar and PWL dimension.
-    const APPROX_EPS: f64 = 0.05;
-    let relaxed = |a: f64, b: f64| a <= b + APPROX_EPS * b.abs() + EPS;
-    for seed in 200..260u64 {
-        let originals = random_family(seed);
-        let kept = mfs_approximate(originals.clone(), APPROX_EPS);
-        for x in sample_points() {
-            for orig in &originals {
-                if !orig.domain().contains(x) || orig.pwls.iter().any(|f| f.eval(x).is_none()) {
-                    continue;
-                }
-                let covered = kept.iter().any(|s| {
-                    s.domain().contains(x)
-                        && s.scalars
-                            .iter()
-                            .zip(&orig.scalars)
-                            .all(|(a, b)| relaxed(*a, *b))
-                        && s.pwls.iter().zip(&orig.pwls).all(|(fa, fb)| {
-                            match (fa.eval(x), fb.eval(x)) {
-                                (Some(ya), Some(yb)) => relaxed(ya, yb),
-                                (_, None) => true,
-                                (None, Some(_)) => false,
-                            }
-                        })
-                });
-                assert!(
-                    covered,
-                    "seed {seed}: candidate {} at x={x} lost without a \
-                     (1+eps)-dominating survivor",
-                    orig.payload
-                );
             }
         }
     }

@@ -133,7 +133,7 @@ impl Client {
     }
 
     /// Opens a session pinned to a pruning strategy (`PruningStrategy`
-    /// `parse` syntax, e.g. `"approx:0.05"`; empty = server default);
+    /// `parse` syntax, e.g. `"naive"`; empty = server default);
     /// returns its id.
     ///
     /// # Errors

@@ -548,7 +548,7 @@ mod tests {
             root: 0,
             driver_cost: 0.0,
             name: "b.msr".into(),
-            pruning: "approx:0.05".into(),
+            pruning: "naive".into(),
             msr: "# net\n".into(),
         });
         round_trip(Request::Edit {

@@ -18,7 +18,7 @@
 //!   completed steps retained;
 //! * connection cap exceeded → `Busy` response, connection dropped;
 //! * handler panic → session tombstoned (`Evicted`), worker reaped,
-//!   server stays serviceable.
+//!   its connection slot released, server stays serviceable.
 //!
 //! Nothing in this module panics on malformed input, and no failure
 //! class wedges a worker or a session.
@@ -156,15 +156,17 @@ impl Server {
                         handle_connection(stream, &shared);
                         break;
                     }
-                    let active = shared.connections.fetch_add(1, Ordering::AcqRel);
-                    if active >= shared.config.max_connections {
-                        shared.connections.fetch_sub(1, Ordering::AcqRel);
+                    let slot = ConnectionSlot::claim(Arc::clone(&shared));
+                    if slot.over_limit() {
+                        drop(slot);
                         refuse_busy(stream, &shared);
                         continue;
                     }
                     workers.push(std::thread::spawn(move || {
+                        // Released on drop, so a panicking handler
+                        // frees its slot too.
+                        let _slot = slot;
                         handle_connection(stream, &shared);
-                        shared.connections.fetch_sub(1, Ordering::AcqRel);
                     }));
                     // Reap finished workers so long runs don't
                     // accumulate handles.
@@ -188,6 +190,32 @@ impl Server {
             let _ = h.join();
         }
         Ok(())
+    }
+}
+
+/// One counted connection: claiming increments the live-connection
+/// count, dropping decrements it.
+struct ConnectionSlot {
+    shared: Arc<Shared>,
+    /// Live connections before this one was claimed.
+    before: usize,
+}
+
+impl ConnectionSlot {
+    fn claim(shared: Arc<Shared>) -> Self {
+        let before = shared.connections.fetch_add(1, Ordering::AcqRel);
+        ConnectionSlot { shared, before }
+    }
+
+    /// Whether this connection exceeds `max_connections`.
+    fn over_limit(&self) -> bool {
+        self.before >= self.shared.config.max_connections
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.shared.connections.fetch_sub(1, Ordering::AcqRel);
     }
 }
 

@@ -14,7 +14,8 @@
 //! * oversized frame (`Oversized`) and malformed frame (`BadFrame`),
 //!   both followed by a connection drop;
 //! * slow-loris (mid-frame stall → cut);
-//! * connection cap (`Busy`).
+//! * connection cap (`Busy`), and the slot a rejected upload frees;
+//! * unknown pruning spellings (`ParseError`) on `open` and `batch`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -316,4 +317,47 @@ fn connection_cap_refuses_with_busy() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(ok, "slot never freed after the first connection closed");
+}
+
+#[test]
+fn malformed_msr_open_is_a_parse_error_and_frees_the_slot() {
+    let ts = TestServer::spawn(ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    });
+    {
+        let mut a = ts.client();
+        expect_code(a.open("bad.msr", "repeater\n", 0, 0.0), ErrorCode::ParseError);
+    }
+    // The only slot is free again once the server reaps the worker.
+    let mut ok = false;
+    for _ in 0..100 {
+        let mut c = ts.client();
+        if c.stats().is_ok() {
+            ok = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(ok, "slot never freed after the malformed open");
+}
+
+#[test]
+fn removed_pruning_spellings_are_parse_errors() {
+    let ts = TestServer::spawn(ServerConfig::default());
+    let msr = fixture_msr(5);
+    let mut c = ts.client();
+    expect_code(
+        c.open_with_pruning("a.msr", &msr, 0, 0.0, "bucketed"),
+        ErrorCode::ParseError,
+    );
+    let escaped = msr.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
+    let spec = format!(
+        "{{\"pruning\": \"approx:0.1\", \"nets\": [{{\"name\": \"a.msr\", \"msr\": \"{escaped}\"}}]}}"
+    );
+    expect_code(c.batch(&spec), ErrorCode::ParseError);
+    // The remaining spellings are served on the same connection.
+    c.open_with_pruning("a.msr", &msr, 0, 0.0, "naive").expect("naive open");
+    let naive_spec = spec.replace("approx:0.1", "naive");
+    c.batch(&naive_spec).expect("naive batch");
 }

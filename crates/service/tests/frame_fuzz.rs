@@ -111,7 +111,7 @@ fn mutated_valid_frames_never_panic() {
             root: 1,
             driver_cost: 0.5,
             name: "n.msr".into(),
-            pruning: "approx:0.1".into(),
+            pruning: "naive".into(),
             msr: "# stub\n".into(),
         },
     ];

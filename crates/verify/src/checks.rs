@@ -40,10 +40,8 @@
 //!    power-of-two float ops) must leave the ARD bit-identical.
 //! 2. `sink_load_monotonicity` — increasing a sink's required time `q`
 //!    or its pin capacitance can only increase the ARD.
-//! 3. `pruning_strategies_agree` — divide-and-conquer MFS, naive MFS,
-//!    whole-domain-only pruning, the cost-bucketed sorted sweep and the
-//!    approximate sweep at `eps = 0` must yield the same (cost, ARD)
-//!    frontier values.
+//! 3. `pruning_strategies_agree` — divide-and-conquer MFS and naive MFS
+//!    must yield the same (cost, ARD) frontier values.
 //! 4. `rooting_invariance` — the ARD does not depend on which terminal
 //!    the traversal is rooted at.
 //! 5. `edit_inverse_restores_frontier` — applying an edit and its exact
@@ -54,10 +52,7 @@
 //!    clamped write-back's monotonicity guarantee): per-endpoint slack,
 //!    per-round WNS, and final WNS are all checked against the
 //!    pre-loop propagation.
-//! 7. `approx_within_reported_budget` — an `approx:eps` run's frontier
-//!    must cover every exact frontier point within the machine-checked
-//!    `(1+eps)^relax_ledger` budget factor the run itself reports.
-//! 8. `add_remove_terminal_roundtrip` — growing a terminal at a Steiner
+//! 7. `add_remove_terminal_roundtrip` — growing a terminal at a Steiner
 //!    hub and popping it back off (`add_terminal` + its exact inverse)
 //!    must restore the trade-off curve bit-for-bit.
 
@@ -144,11 +139,6 @@ pub fn registry() -> &'static [CheckDef] {
             name: "pruning_strategies_agree",
             kind: CheckKind::Metamorphic,
             run: check_pruning_strategies_agree,
-        },
-        CheckDef {
-            name: "approx_within_reported_budget",
-            kind: CheckKind::Metamorphic,
-            run: check_approx_within_reported_budget,
         },
         CheckDef {
             name: "dp_vs_exhaustive",
@@ -1268,9 +1258,8 @@ fn check_sink_load_monotonicity(inst: &Instance) -> CheckOutcome {
 }
 
 fn check_pruning_strategies_agree(inst: &Instance) -> CheckOutcome {
-    // Naive and whole-domain MFS pruning are quadratic in candidate-set
-    // size, so this check takes a tighter work gate than the other DP
-    // oracles.
+    // Naive MFS pruning is quadratic in candidate-set size, so this
+    // check takes a tighter work gate than the other DP oracles.
     let est = dp_set_estimate(inst);
     if est > DP_ESTIMATE_LIMIT / 8.0 {
         return CheckOutcome::Skip(format!(
@@ -1286,116 +1275,29 @@ fn check_pruning_strategies_agree(inst: &Instance) -> CheckOutcome {
     if inst.net.topology.vertex_count() > 60 {
         return CheckOutcome::Skip("net too large for the naive-pruning re-run".into());
     }
-    let strategies = [
-        ("divide_conquer", PruningStrategy::DivideConquer),
-        ("naive", PruningStrategy::Naive),
-        ("whole_domain", PruningStrategy::WholeDomainOnly),
-        ("bucketed", PruningStrategy::Bucketed),
-        ("approx_eps0", PruningStrategy::Approximate { eps: 0.0 }),
-    ];
-    type FrontierResult = Result<Vec<(f64, f64)>, MsriError>;
-    let mut baseline: Option<(&str, FrontierResult)> = None;
-    for (label, pruning) in strategies {
-        let opts = MsriOptions {
-            pruning,
-            ..inst.options
-        };
-        let got = run_dp(inst, &opts).map(|c| {
+    let frontier = |pruning| {
+        run_dp(inst, &MsriOptions { pruning, ..inst.options }).map(|c| {
             c.points()
                 .iter()
                 .map(|p| (p.cost, p.ard))
                 .collect::<Vec<_>>()
-        });
-        match &baseline {
-            None => baseline = Some((label, got)),
-            Some((base_label, base)) => match (base, &got) {
-                (Err(a), Err(b)) if a == b => {}
-                (Ok(a), Ok(b)) => {
-                    if let CheckOutcome::Fail(msg) = frontiers_close(a, b, base_label, label) {
-                        return CheckOutcome::Fail(format!("pruning strategies disagree: {msg}"));
-                    }
-                }
-                (a, b) => {
-                    return CheckOutcome::Fail(format!(
-                        "pruning {base_label} -> {a:?} but {label} -> {b:?}"
-                    ));
-                }
-            },
-        }
-    }
-    CheckOutcome::Pass
-}
-
-/// Regime-grid check for the `Approximate { eps }` error budget: the
-/// approximate frontier must cover every exact frontier point within the
-/// factor the run itself reports (`(1+eps)^relax_ledger` from the
-/// per-step relaxation ledger). The slack is measured against the exact
-/// point's magnitude on each axis, matching `relaxed_le`'s
-/// discarded-candidate semantics.
-fn check_approx_within_reported_budget(inst: &Instance) -> CheckOutcome {
-    let est = dp_set_estimate(inst);
-    if est > DP_ESTIMATE_LIMIT / 4.0 {
-        return CheckOutcome::Skip(format!(
-            "DP set estimate {est:.0} too large for the approx re-runs"
-        ));
-    }
-    if inst.check_seed % 3 != 1 {
-        return CheckOutcome::Skip("sampled out (runs on 1/3 of cases)".into());
-    }
-    if !inst.terminals_are_leaves() {
-        return CheckOutcome::Skip("non-leaf terminal (DP precondition)".into());
-    }
-    let exact = run_dp(inst, &inst.options);
-    for eps in [0.05, 0.25] {
-        let opts = MsriOptions {
-            pruning: PruningStrategy::Approximate { eps },
-            ..inst.options
-        };
-        let approx = run_dp(inst, &opts);
-        match (&exact, approx) {
-            (Err(a), Err(b)) if *a == b => {}
-            (Err(a), b) => {
-                return CheckOutcome::Fail(format!(
-                    "eps={eps}: exact -> {a:?} but approx -> {b:?}"
-                ));
+        })
+    };
+    match (
+        frontier(PruningStrategy::DivideConquer),
+        frontier(PruningStrategy::Naive),
+    ) {
+        (Err(a), Err(b)) if a == b => CheckOutcome::Pass,
+        (Ok(a), Ok(b)) => match frontiers_close(&a, &b, "divide_conquer", "naive") {
+            CheckOutcome::Fail(msg) => {
+                CheckOutcome::Fail(format!("pruning strategies disagree: {msg}"))
             }
-            (Ok(_), Err(e)) => {
-                return CheckOutcome::Fail(format!(
-                    "eps={eps}: exact succeeded but approx failed: {e:?}"
-                ));
-            }
-            (Ok(ex), Ok(ap)) => {
-                let stats = ap.stats();
-                let factor = stats.budget_factor(eps);
-                if !factor.is_finite() || factor < 1.0 {
-                    return CheckOutcome::Fail(format!(
-                        "eps={eps}: reported budget factor {factor} is not a valid bound \
-                         (ledger {})",
-                        stats.relax_ledger
-                    ));
-                }
-                for p in ex.points() {
-                    let cost_cap = p.cost + (factor - 1.0) * p.cost.abs();
-                    let ard_cap = p.ard + (factor - 1.0) * p.ard.abs();
-                    let tol = 1e-9 * p.ard.abs().max(1.0);
-                    let covered = ap.points().iter().any(|q| {
-                        q.cost <= cost_cap + 1e-9 * p.cost.abs().max(1.0) && q.ard <= ard_cap + tol
-                    });
-                    if !covered {
-                        return CheckOutcome::Fail(format!(
-                            "eps={eps}: exact point (cost {}, ard {}) not covered within the \
-                             reported budget factor {factor} (ledger {}, approx frontier {:?})",
-                            p.cost,
-                            p.ard,
-                            stats.relax_ledger,
-                            ap.points().iter().map(|q| (q.cost, q.ard)).collect::<Vec<_>>()
-                        ));
-                    }
-                }
-            }
-        }
+            _ => CheckOutcome::Pass,
+        },
+        (a, b) => CheckOutcome::Fail(format!(
+            "pruning divide_conquer -> {a:?} but naive -> {b:?}"
+        )),
     }
-    CheckOutcome::Pass
 }
 
 fn check_rooting_invariance(inst: &Instance) -> CheckOutcome {
@@ -1717,7 +1619,6 @@ mod tests {
     #[test]
     fn dp_work_gate_keeps_asymmetric_regimes_covered() {
         let mut asym_covered = 0;
-        let mut budget_check_ran = 0;
         for i in 0..40 {
             let Some(inst) = generate(19, i) else { continue };
             let hard = inst
@@ -1730,20 +1631,10 @@ mod tests {
             {
                 asym_covered += 1;
             }
-            if !matches!(
-                check_approx_within_reported_budget(&inst),
-                CheckOutcome::Skip(_)
-            ) {
-                budget_check_ran += 1;
-            }
         }
         assert!(
             asym_covered >= 3,
             "only {asym_covered} asymmetric/inverting multi-IP cases pass the work gate"
-        );
-        assert!(
-            budget_check_ran >= 3,
-            "approx-budget check ran on only {budget_check_ran} grid cases"
         );
     }
 
